@@ -64,12 +64,6 @@ def _merge_config(args, argv):
 def validate(args):
     """Range diagnostics, produced without running anything."""
     problems = []
-
-    def check(name, lo, hi, kind="value"):
-        v = getattr(args, name, None)
-        if v is not None and not lo <= v <= hi:
-            problems.append(f"{name} must lie in [{lo}, {hi}]")
-
     if args.command in STOCHASTIC and getattr(args, "seed", None) is None:
         problems.append(f"seed is mandatory for the stochastic "
                         f"subcommand {args.command!r}")
@@ -80,11 +74,12 @@ def validate(args):
     if eps is not None and not 0.0 < eps < 1.0:
         problems.append("eps must lie in (0, 1)")
     for name, lo, hi in (("samples", 1, 10 ** 8), ("grid", 2, 2 ** 20),
-                         ("budget", 1, 10 ** 9), ("threads", 1, 256),
-                         ("nmax", 0, 200), ("kmax", 1, 16),
-                         ("n", 0, 100), ("k", 1, 16), ("l", 1, 16),
-                         ("m", 0, 8)):
-        check(name, lo, hi)
+                         ("budget", 1, 10 ** 9), ("nmax", 0, 200),
+                         ("kmax", 1, 16), ("n", 0, 100), ("k", 1, 16),
+                         ("l", 1, 16), ("m", 0, 8)):
+        v = getattr(args, name, None)
+        if v is not None and not lo <= v <= hi:
+            problems.append(f"{name} must lie in [{lo}, {hi}]")
     grid = getattr(args, "grid", None)
     if grid is not None and grid & (grid - 1):
         problems.append("grid must be a power of 2")
@@ -217,17 +212,17 @@ def cmd_glue(args):
 
 
 def cmd_audit_all(args):
-    args.nmax, args.kmax = 20, 4
-    cmd_count(args)
-    args.l = args.n = None
-    args.m = 0
-    cmd_folner(args)
-    cmd_smooth(args)
-    args.experiment, args.l = "all", None
-    args.samples = args.samples or 5000
-    cmd_wiener(args)
-    args.samples = 30
-    cmd_glue(args)
+    """Every audit at reduced sizes; each stage runs on its own copy of
+    args with that stage's settings, and args itself is left as given."""
+    def stage(**settings):
+        return argparse.Namespace(**{**vars(args), **settings})
+
+    cmd_count(stage(nmax=20, kmax=4))
+    cmd_folner(stage(m=0, l=None, n=None))
+    cmd_smooth(stage())
+    cmd_wiener(stage(experiment="all", l=None, n=None,
+                     samples=args.samples or 5000))
+    cmd_glue(stage(samples=30))
 
 
 # -- parser ----------------------------------------------------------------
@@ -239,7 +234,6 @@ def _add_common(p):
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--config", default=None,
                    help="key=value file; explicit flags win")
     p.add_argument("--validate", action="store_true",

@@ -33,10 +33,6 @@ def a_table(n_max: int, k_max: int):
     return a
 
 
-def a_value(n: int, k: int) -> int:
-    return a_table(max(n, 1), max(k, 1))[n][k]
-
-
 def p_poly(k: int):
     """Coefficients (ascending) of the denominator polynomial p_k.
 

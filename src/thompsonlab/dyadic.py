@@ -138,7 +138,8 @@ class Dyadic:
         return c if c is NotImplemented else c >= 0
 
     def __hash__(self):
-        return hash((self.num, self.exp))
+        # equal to hash(int) for integers, since Dyadic(n) == n
+        return hash((self.num, self.exp)) if self.exp else hash(self.num)
 
     def __repr__(self):
         return f"Dyadic({self.num}, {self.exp})"

@@ -65,7 +65,7 @@ def _f1_power(tpl: Tuple_, j: int) -> Tuple_:
     return Tuple_(coords)
 
 
-def _orbit_blocks(n_i: int, k: int, budget: int):
+def _orbit_blocks(n_i: int, k: int):
     """Orbit level I_{n_i}^{k} as raw tuples (length n_i + 2)."""
     return counting.enumerate_orbit(n_i, k, n_budget=max(10, n_i),
                                     k_budget=max(4, k))
@@ -85,7 +85,7 @@ def build_Y(l: int, parts, budget: int = DEFAULT_BUDGET) -> TupleSet:
     block_sets = []
     total = 1
     for i in range(1, l + 1):
-        raw = _orbit_blocks(parts[i - 1], l - i, budget)
+        raw = _orbit_blocks(parts[i - 1], l - i)
         blocks = [_f1_power(t, -(i - 1)) for t in raw]
         total *= len(blocks)
         if total > budget:
@@ -219,7 +219,8 @@ class RatioReport:
 
 def folner_ratio(s: TupleSet, g: PLMap, name: str = "g",
                  prediction: Fraction | None = None) -> RatioReport:
-    """Exact |g(S) /\\ S| / |S|, computed by two independent routes."""
+    """Exact |g(S) /\\ S| / |S|, counted twice: as a set intersection
+    and tuple by tuple.  Both counts map the tuples with Tuple_.apply."""
     if not s.tuples:
         raise ValueError("set must be nonempty")
     image = frozenset(t.apply(g) for t in s)

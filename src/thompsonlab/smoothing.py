@@ -63,11 +63,10 @@ class PsiModel:
     scalars or numpy arrays.
     """
 
-    def __init__(self, resolution=2 ** 12, tol=1e-12):
+    def __init__(self, resolution=2 ** 12):
         if resolution < 2 ** 10:
             raise ValueError("resolution must be at least 2^10")
         self.resolution = resolution
-        self.tol = tol
         self.c = self._calibrate()
         self._panel_h = 0.25 / resolution
         self._table = self._build_table(self.c)
@@ -183,14 +182,6 @@ class PsiModel:
         for _ in range(abs(j)):
             t = step(t)
         return t
-
-
-def build_psi(resolution=2 ** 12, tol=1e-12):
-    return PsiModel(resolution, tol)
-
-
-def psi_iter(model, j, t):
-    return model.iterate(j, t)
 
 
 # -- dyadic charts ---------------------------------------------------------
@@ -335,10 +326,6 @@ def build_g2(model):
                     ("ipsi",), ("ipsi",), ("ipsi",)]),
         (x78, 1.0, [("psi",), ("shift", -1.0)]),
     ])
-
-
-def g_eval(gen, t):
-    return gen(t)
 
 
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0

@@ -26,6 +26,17 @@ def _chunk_rngs(seed, samples):
         idx += 1
 
 
+def _paths(rng, shape, M):
+    """Brownian paths on a uniform grid of M+1 points, one per index of
+    `shape`: N(0, 1/M) increments drawn from rng and summed from 0 into a
+    (*shape, M+1) array."""
+    out = np.empty((*shape, M + 1))
+    out[..., 0] = 0.0
+    np.cumsum(rng.normal(scale=math.sqrt(1.0 / M), size=(*shape, M)),
+              axis=-1, out=out[..., 1:])
+    return out
+
+
 def sample_brownian(M, seed, samples=None):
     """Standard Brownian paths on a uniform grid of M+1 points: i.i.d.
     N(0, 1/M) increments summed from 0.  2-d (samples, M+1) when
@@ -33,13 +44,8 @@ def sample_brownian(M, seed, samples=None):
     if M & (M - 1):
         raise ValueError("M must be a power of 2")
     n = 1 if samples is None else samples
-    out = np.empty((n, M + 1))
-    row = 0
-    for rng, take in _chunk_rngs(seed, n):
-        inc = rng.normal(scale=math.sqrt(1.0 / M), size=(take, M))
-        out[row:row + take, 0] = 0.0
-        np.cumsum(inc, axis=1, out=out[row:row + take, 1:])
-        row += take
+    out = np.concatenate([_paths(rng, (take,), M)
+                          for rng, take in _chunk_rngs(seed, n)])
     return out[0] if samples is None else out
 
 
@@ -105,9 +111,7 @@ def moment_test(l, samples, M, seed):
     s0 = s1 = ss0 = ss1 = 0.0
     pair_exact = True
     for rng, take in _chunk_rngs(seed, samples):
-        inc = rng.normal(scale=math.sqrt(1.0 / M), size=(take, M))
-        xi = np.concatenate([np.zeros((take, 1)), np.cumsum(inc, axis=1)],
-                            axis=1)
+        xi = _paths(rng, (take,), M)
         d0, d1 = endpoint_derivatives(xi)
         r0, _ = endpoint_derivatives(reverse_path(xi))
         pair_exact &= bool(np.allclose(r0, d1, rtol=1e-12, atol=0.0))
@@ -254,9 +258,7 @@ def constants(samples, M, seed, g=None):
     C_g on a fine grid (identity map if g is omitted)."""
     s1 = s2 = sq = 0.0
     for rng, take in _chunk_rngs(seed, samples):
-        inc = rng.normal(scale=math.sqrt(1.0 / M), size=(take, M))
-        xi = np.concatenate([np.zeros((take, 1)), np.cumsum(inc, axis=1)],
-                            axis=1)
+        xi = _paths(rng, (take,), M)
         d0, d1 = endpoint_derivatives(xi)
         s1 += d1.sum()
         s2 += (d1 ** 2).sum()
@@ -307,10 +309,7 @@ def apply_functional(tag, q):
 def _qi_sides(g, tag, samples, M, seed):
     sl = ssl = sr = ssr = 0.0
     for rng, take in _chunk_rngs(seed, samples):
-        inc = rng.normal(scale=math.sqrt(1.0 / M), size=(take, M))
-        xi = np.concatenate([np.zeros((take, 1)), np.cumsum(inc, axis=1)],
-                            axis=1)
-        q = a_inv(xi)
+        q = a_inv(_paths(rng, (take,), M))
         lhs = apply_functional(tag, _compose_inverse(g, q))
         rhs = apply_functional(tag, q) * density(g, q)
         sl += lhs.sum(); ssl += (lhs ** 2).sum()
@@ -371,10 +370,7 @@ def concentration_test(g, xbar, eps, samples, M, seed, c1=None):
     ratios = np.array([float(g.d2(t) / g.d1(t)) for t in x])
     exceed = 0
     for rng, take in _chunk_rngs(seed, samples):
-        inc = rng.normal(scale=math.sqrt(1.0 / M), size=(take, n, M))
-        xi = np.concatenate([np.zeros((take, n, 1)),
-                             np.cumsum(inc, axis=2)], axis=2)
-        q = a_inv(xi)
+        q = a_inv(_paths(rng, (take, n), M))
         f1 = (gaps * (ratios[:-1] * q.deriv[..., 0]
                       - ratios[1:] * q.deriv[..., -1])).sum(axis=1)
         inner = x[:-1, None] + gaps[:, None] * q.values

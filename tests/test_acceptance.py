@@ -23,7 +23,7 @@ from thompsonlab.cli import main as cli_main
 
 @pytest.fixture(scope="module")
 def model():
-    return sm.build_psi(resolution=2 ** 12)
+    return sm.PsiModel(resolution=2 ** 12)
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +143,7 @@ def test_criterion_05_folner_construction(capfd):
 
 
 def test_criterion_06_psi_invariants(capfd):
-    m = sm.build_psi(resolution=2 ** 12)
+    m = sm.PsiModel(resolution=2 ** 12)
     t = np.linspace(-2.0, 3.0, 2001)
     period = float(np.max(np.abs(m.value(t + 1.0) - m.value(t) - 2.0)))
     d = m.deriv(np.linspace(0.0, 1.0, 20001))

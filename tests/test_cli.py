@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from thompsonlab import cli
 from thompsonlab.cli import main, validate, build_parser
 from thompsonlab.reports import render_rows, write_report
 
@@ -115,3 +116,30 @@ class TestRuns:
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("wibble=3\n")
         assert main(["count", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("samples, wiener_samples",
+                             [(None, 5000), (700, 700)])
+    def test_audit_all_stage_settings(self, monkeypatch, samples,
+                                      wiener_samples):
+        seen = {}
+        for name in ("count", "folner", "smooth", "wiener", "glue"):
+            monkeypatch.setattr(cli, f"cmd_{name}",
+                                lambda a, name=name: seen.setdefault(name, a))
+        argv = ["audit-all", "--seed", "11", "--grid", "512"]
+        if samples is not None:
+            argv += ["--samples", str(samples)]
+        args = build_parser().parse_args(argv)
+        before = dict(vars(args))
+        cli.cmd_audit_all(args)
+        assert vars(args) == before
+        # a namespace of its own for every stage
+        assert len({id(a) for a in (args, *seen.values())}) == 6
+        assert (seen["count"].nmax, seen["count"].kmax) == (20, 4)
+        assert (seen["folner"].m, seen["folner"].l, seen["folner"].n) == \
+            (0, None, None)
+        w = seen["wiener"]
+        assert (w.experiment, w.l, w.n, w.samples) == \
+            ("all", None, None, wiener_samples)
+        assert seen["glue"].samples == 30
+        for a in seen.values():
+            assert (a.seed, a.grid, a.delta, a.out) == (11, 512, 0.25, None)

@@ -32,6 +32,13 @@ class TestDyadic:
     def test_render(self):
         assert str(d(11, 4)) == "11/2^4"
 
+    def test_hash_agrees_with_int_equality(self):
+        for n in (-3, 0, 1, 2, 10 ** 30):
+            assert Dyadic(n) == n and hash(Dyadic(n)) == hash(n)
+            assert hash(Dyadic(n << 4, 4)) == hash(n)
+        assert 1 in {Dyadic(1)} and Dyadic(0) in {0}
+        assert {Dyadic(1), 1} == {1}
+
     @given(st.integers(-999, 999), st.integers(0, 40),
            st.integers(-999, 999), st.integers(0, 40))
     def test_sum_agrees_with_fractions(self, a, ea, b, eb):

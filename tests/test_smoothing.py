@@ -7,7 +7,7 @@ from thompsonlab import smoothing as sm
 
 @pytest.fixture(scope="module")
 def model():
-    return sm.build_psi(resolution=2 ** 12)
+    return sm.PsiModel(resolution=2 ** 12)
 
 
 @pytest.fixture(scope="module")
@@ -61,13 +61,13 @@ class TestPsiModel:
             assert err < 1e-9
 
     def test_iterate_examples(self, model):
-        assert sm.psi_iter(model, 0, 0.37) == 0.37
-        assert abs(sm.psi_iter(model, -1, 1.0) - 0.5) < 1e-12
-        assert abs(sm.psi_iter(model, -1, 0.75) - 5.0 / 12.0) < 1e-12
+        assert model.iterate(0, 0.37) == 0.37
+        assert abs(model.iterate(-1, 1.0) - 0.5) < 1e-12
+        assert abs(model.iterate(-1, 0.75) - 5.0 / 12.0) < 1e-12
 
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
-            sm.build_psi(resolution=2 ** 9)
+            sm.PsiModel(resolution=2 ** 9)
 
     def test_iterate_depth_limit(self, model):
         with pytest.raises(ValueError):

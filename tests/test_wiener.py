@@ -75,6 +75,17 @@ class TestMoments:
         with pytest.raises(ValueError):
             moment_test(5, 10, 64, 0)
 
+    def test_estimators_share_the_path_stream(self):
+        # 4,500 paths span two RNG chunks; moment_test and constants must
+        # see exactly the paths of sample_brownian for the same seed
+        M, seed, samples = 64, 23, 4500
+        d0, d1 = endpoint_derivatives(sample_brownian(M, seed, samples))
+        r = moment_test(1, samples, M, seed)
+        c = constants(samples, M, seed)
+        for got, want in ((r["m0"], d0.mean()), (r["m1"], d1.mean()),
+                          (c["M1"], d1.mean()), (c["M2"], (d1 ** 2).mean())):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
 
 class TestTestMaps:
     def test_identity(self):
