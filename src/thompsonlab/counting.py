@@ -174,28 +174,27 @@ def orbit_words(n: int, k: int):
         yield Word(letters)
 
 
-def enumerate_orbit(n: int, k: int, leftmost_first: bool = False,
-                    n_budget: int = 10, k_budget: int = 4):
+def enumerate_orbit(n: int, k: int, n_budget: int = 10, k_budget: int = 4):
     """All distinct images of (r_0, ..., r_{n+1}) under the word family.
 
     Returns a frozenset of Tuple_.  Exact dedup; the cardinality is
     compared with a(n,k) in the audit report only.  The budget is checked
-    on every call; the enumeration itself is memoised on
-    (n, k, leftmost_first), since its result is immutable.
+    on every call; the enumeration itself is memoised on (n, k), since its
+    result is immutable.
     """
     if n > n_budget or k > k_budget:
         raise BudgetExceeded(f"orbit enumeration budget: n<={n_budget}, k<={k_budget}")
-    return _orbit(n, k, leftmost_first)
+    return _orbit(n, k)
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit(n: int, k: int, leftmost_first: bool):
+def _orbit(n: int, k: int):
     if n == 0:
         return frozenset({Tuple_([standard_point(0), standard_point(1)])})
     base = Tuple_([standard_point(i) for i in range(n + 2)])
     seen = set()
     for w in orbit_words(n, k):
-        seen.add(w.apply(base, leftmost_first=leftmost_first))
+        seen.add(w.apply(base))
     return frozenset(seen)
 
 

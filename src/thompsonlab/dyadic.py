@@ -423,8 +423,7 @@ class Word:
     """A word in the generating pair, as (generator-id, exponent) letters.
 
     Adjacent letters carry distinct generator ids and nonzero exponents.
-    Application is rightmost-letter-first (function composition order);
-    pass leftmost_first=True to flip the convention.
+    Application is rightmost-letter-first (function composition order).
     """
 
     __slots__ = ("letters",)
@@ -476,11 +475,9 @@ class Word:
                 m = m * step
         return m
 
-    def apply(self, xs: Tuple_, leftmost_first: bool = False) -> Tuple_:
-        letters = self.letters if not leftmost_first else tuple(reversed(self.letters))
-        seq = reversed(letters)  # rightmost letter acts first
-        out = list(xs.coords)
-        for gen, e in seq:
+    def apply(self, xs: Tuple_) -> Tuple_:
+        out = xs.coords
+        for gen, e in reversed(self.letters):  # rightmost letter acts first
             step = GENERATORS[gen] if e > 0 else INVERSES[gen]
             for _ in range(abs(e)):
                 out = step.images(out)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import counting
 from .counting import BudgetExceeded
-from .dyadic import F1, F1_INV, F2, Dyadic, PLMap, Tuple_, midpoint
+from .dyadic import F1, F2, Dyadic, PLMap, Tuple_, Word, midpoint
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -57,14 +57,6 @@ class TupleSet:
                         dict(self.params, image=True))
 
 
-def _f1_power(tpl: Tuple_, j: int) -> Tuple_:
-    step = F1 if j >= 0 else F1_INV
-    coords = list(tpl.coords)
-    for _ in range(abs(j)):
-        coords = step.images(coords)
-    return Tuple_(coords)
-
-
 def _orbit_blocks(n_i: int, k: int):
     """Orbit level I_{n_i}^{k} as raw tuples (length n_i + 2)."""
     return counting.enumerate_orbit(n_i, k, n_budget=max(10, n_i),
@@ -85,8 +77,8 @@ def build_Y(l: int, parts, budget: int = DEFAULT_BUDGET) -> TupleSet:
     block_sets = []
     total = 1
     for i in range(1, l + 1):
-        raw = _orbit_blocks(parts[i - 1], l - i)
-        blocks = [_f1_power(t, -(i - 1)) for t in raw]
+        shift = Word([("f1", 1 - i)])
+        blocks = [shift.apply(t) for t in _orbit_blocks(parts[i - 1], l - i)]
         total *= len(blocks)
         if total > budget:
             raise BudgetExceeded(f"Y block product exceeds budget {budget}")
@@ -181,7 +173,7 @@ def build_X(m: int, l: int, n: int, budget: int = DEFAULT_BUDGET) -> TupleSet:
         shifted = y.tuples
         for j in range(l):
             if j > 0:
-                shifted = {_f1_power(t, 1) for t in shifted}
+                shifted = {t.apply(F1) for t in shifted}
             out |= shifted
             if len(out) > budget:
                 raise BudgetExceeded(f"X^{{0,{l},{n}}} exceeds budget {budget}")
@@ -219,13 +211,15 @@ class RatioReport:
 
 def folner_ratio(s: TupleSet, g: PLMap, name: str = "g",
                  prediction: Fraction | None = None) -> RatioReport:
-    """Exact |g(S) /\\ S| / |S|, counted twice: as a set intersection
-    and tuple by tuple.  Both counts map the tuples with Tuple_.apply."""
+    """Exact |g(S) /\\ S| / |S|, counted twice from one pass of images:
+    as a set intersection and tuple by tuple.  The counts differ exactly
+    when two tuples share an image in S, so their agreement checks that g
+    acts injectively on S."""
     if not s.tuples:
         raise ValueError("set must be nonempty")
-    image = frozenset(t.apply(g) for t in s)
-    inter_a = len(image & s.tuples)
-    inter_b = sum(1 for t in s if t.apply(g) in s.tuples)  # incremental path
+    images = [t.apply(g) for t in s]
+    inter_a = len(frozenset(images) & s.tuples)
+    inter_b = sum(1 for u in images if u in s.tuples)
     if inter_a != inter_b:
         raise AssertionError("dual-path ratio computation disagrees")
     return RatioReport(name, len(s), inter_a,

@@ -481,6 +481,8 @@ class SymbolicZ:
         if width != self.k - 1:
             raise ValueError(f"X tuples have {width} coordinates, "
                              f"expected k-1 = {self.k - 1}")
+        # the base tuples in one fixed order, for support() and sample()
+        self.base = sorted(self.X.tuples, key=lambda t: t.floats())
 
     def coord_count(self):
         return self.k * (2 * self.p + 1) - 1
@@ -491,8 +493,7 @@ class SymbolicZ:
     def support(self, i):
         """Base tuples whose f_i-image stays inside X."""
         fmap = F1 if i == 1 else F2
-        return [t for t in sorted(self.X.tuples, key=lambda t: t.floats())
-                if t.apply(fmap) in self.X]
+        return [t for t in self.base if t.apply(fmap) in self.X]
 
     def cardinality_zi(self, i, reading="displayed"):
         """|Z_i| under the displayed index ranges (last index free) or
@@ -503,8 +504,7 @@ class SymbolicZ:
         return (self.J - 1) ** (2 * self.k) * base
 
     def sample(self, rng, restricted=False):
-        t = sorted(self.X.tuples, key=lambda t: t.floats())[
-            rng.integers(len(self.X))]
+        t = self.base[rng.integers(len(self.base))]
         lo, hi = (1, self.J - 1) if restricted else (0, self.J)
         jvec = tuple(int(j) for j in
                      rng.integers(lo, hi + 1, size=2 * self.k))

@@ -40,10 +40,6 @@ class TestValidation:
         args = self.parse(["wiener", "moments", "--samples", "10"])
         assert any("seed" in p for p in validate(args))
 
-    def test_delta_range(self):
-        args = self.parse(["glue", "--delta", "0.7", "--seed", "1"])
-        assert any("delta" in p for p in validate(args))
-
     def test_clean_config_empty_diagnostics(self):
         args = self.parse(["count", "--nmax", "10"])
         assert validate(args) == []
@@ -142,4 +138,4 @@ class TestRuns:
             ("all", None, None, wiener_samples)
         assert seen["glue"].samples == 30
         for a in seen.values():
-            assert (a.seed, a.grid, a.delta, a.out) == (11, 512, 0.25, None)
+            assert (a.seed, a.grid, a.out) == (11, 512, None)

@@ -110,6 +110,67 @@ class TestRatios:
         assert fl.folner_ratio(x1, F2).ratio == fl.folner_ratio(x2, F2).ratio
 
 
+class TestRatioCounts:
+    # the standard pair as printed: the breakpoints (x, y) of f1 and f2
+    POINTS = {
+        "f1": [(0, 0), (Fraction(1, 2), Fraction(1, 4)),
+               (Fraction(3, 4), Fraction(1, 2)), (1, 1)],
+        "f2": [(0, 0), (Fraction(1, 2), Fraction(1, 2)),
+               (Fraction(3, 4), Fraction(5, 8)),
+               (Fraction(7, 8), Fraction(3, 4)), (1, 1)],
+    }
+
+    @staticmethod
+    def interpolate(points, x):
+        for (x0, y0), (x1, y1) in zip(points, points[1:]):
+            if x0 <= x <= x1:
+                return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        raise ValueError(f"{x} outside [0, 1]")
+
+    @pytest.mark.parametrize("l,n,f1,f2", [
+        (2, 0, Fraction(1, 2), Fraction(7, 16)),
+        (2, 1, Fraction(1, 2), Fraction(19, 40)),
+        (3, 0, Fraction(2, 3), Fraction(17, 40)),
+    ])
+    def test_counts_agree_with_fraction_interpolation(self, l, n, f1, f2):
+        s = fl.build_X(0, l, n)
+        # the set as Fraction tuples, mapped without PLMap, Tuple_ or Word
+        fs = {tuple(Fraction(c.num, 2 ** c.exp) for c in t.coords) for t in s}
+        for name, g, ratio in (("f1", F1, f1), ("f2", F2, f2)):
+            pts = self.POINTS[name]
+            count = sum(1 for t in fs
+                        if tuple(self.interpolate(pts, x) for x in t) in fs)
+            rep = fl.folner_ratio(s, g, name)
+            assert rep.intersection_size == count
+            assert rep.ratio == ratio
+
+    def test_each_tuple_mapped_once(self, monkeypatch):
+        s = fl.build_X(0, 2, 1)
+        calls = []
+        apply = Tuple_.apply
+
+        def counted(self, g):
+            calls.append(g)
+            return apply(self, g)
+
+        monkeypatch.setattr(Tuple_, "apply", counted)
+        fl.folner_ratio(s, F2)
+        assert len(calls) == len(s)
+
+    def test_non_injective_image_raises(self):
+        s = fl.build_X(0, 2, 0)
+        target = next(iter(s))
+
+        class Collapse:
+            """Sends every tuple to one member of the set."""
+
+            def images(self, points):
+                return list(target.coords)
+
+        with pytest.raises(AssertionError):
+            fl.folner_ratio(s, Collapse())
+
+
 class TestEquivariance:
     def test_identity(self):
         s = fl.build_X(0, 2, 0)
