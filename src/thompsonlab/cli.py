@@ -128,15 +128,15 @@ def cmd_folner(args):
     _emit(args, "folner_ratios", rows)
 
 
-def _smooth_objects(resolution):
+def _smooth_objects():
     from .smoothing import PsiModel, build_g1, build_g2
-    model = PsiModel(resolution=resolution)
+    model = PsiModel()
     return model, build_g1(model), build_g2(model)
 
 
 def cmd_smooth(args):
     from .smoothing import condition_b_scan, lemma6_audit_rows
-    model, g1, g2 = _smooth_objects(max(args.grid or 2 ** 12, 2 ** 10))
+    model, g1, g2 = _smooth_objects()
     _emit(args, "lemma6_audit",
           lemma6_audit_rows(model, g1, g2, denom_exp_max=args.denom_exp))
     scan = condition_b_scan(g1, g2, max_len=args.max_len)
@@ -193,7 +193,7 @@ def _realized_stages(budget):
 
 def cmd_glue(args):
     from .glue import EstimatorConfig, theorem3_experiment
-    model, g1, g2 = _smooth_objects(2 ** 12)
+    model, g1, g2 = _smooth_objects()
     stages = _realized_stages(args.budget or DEFAULT_BUDGET)
     # delta = 0.25 is range-checked but not read by the estimator; the field
     # stays because bench/workloads.py builds EstimatorConfig positionally

@@ -482,6 +482,3 @@ class Word:
             for _ in range(abs(e)):
                 out = step.images(out)
         return Tuple_(out)
-
-
-EMPTY_WORD = Word([])

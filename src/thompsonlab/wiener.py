@@ -337,29 +337,28 @@ def quasi_invariance_test(g, tag, samples, M, seed):
 
 # -- concentration of the gluing sums --------------------------------------
 
-def lemma2_sums(g, xbar, qs):
-    """(f1, f2) for one block sample: qs is a list of n GridDiffeo, one
-    per gap of the partition tuple xbar (with 0 and 1 appended)."""
+def lemma2_sums(g, xbar, q):
+    """(f1, f2) for block samples: q is one GridDiffeo of shape
+    (..., n, M+1), one diffeomorphism per gap of the partition tuple xbar
+    (with 0 and 1 appended); f1 and f2 have the leading shape of q."""
     x = np.concatenate([[0.0], np.asarray(xbar, dtype=float), [1.0]])
     gaps = np.diff(x)
-    if len(qs) != len(gaps):
+    if q.values.shape[-2:-1] != gaps.shape:
         raise ValueError("need one diffeomorphism per gap")
-    ratio = lambda t: float(g.d2(t) / g.d1(t))
-    f1 = f2 = 0.0
-    for k, q in enumerate(qs):
-        dk = gaps[k]
-        f1 += dk * (ratio(x[k]) * q.deriv[..., 0]
-                    - ratio(x[k + 1]) * q.deriv[..., -1])
-        f2 += dk ** 2 * _trapz(schwarzian(g, x[k] + dk * q.values)
-                               * q.deriv ** 2)
+    ratios = np.array([float(g.d2(t) / g.d1(t)) for t in x])
+    f1 = (gaps * (ratios[:-1] * q.deriv[..., 0]
+                  - ratios[1:] * q.deriv[..., -1])).sum(axis=-1)
+    inner = x[:-1, None] + gaps[:, None] * q.values
+    f2 = (gaps ** 2 * _trapz(schwarzian(g, inner)
+                             * q.deriv ** 2)).sum(axis=-1)
     return f1, f2
 
 
 def concentration_test(g, xbar, eps, samples, M, seed, c1=None):
     """Empirical probability that |f1 + f2| exceeds 4 c1 C_g eps^{1/3};
     the bound says it is at most 2 eps^{1/3}."""
-    x = np.concatenate([[0.0], np.asarray(xbar, dtype=float), [1.0]])
-    gaps = np.diff(x)
+    gaps = np.diff(np.concatenate([[0.0], np.asarray(xbar, dtype=float),
+                                   [1.0]]))
     if np.max(gaps) >= eps:
         raise ValueError("partition mesh must be below eps")
     n = len(gaps)
@@ -367,15 +366,9 @@ def concentration_test(g, xbar, eps, samples, M, seed, c1=None):
         c1 = constants(20000, M, seed + 1)["c1"]
     Cg = map_constant(g)
     threshold = 4.0 * c1 * Cg * eps ** (1.0 / 3.0)
-    ratios = np.array([float(g.d2(t) / g.d1(t)) for t in x])
     exceed = 0
     for rng, take in _chunk_rngs(seed, samples):
-        q = a_inv(_paths(rng, (take, n), M))
-        f1 = (gaps * (ratios[:-1] * q.deriv[..., 0]
-                      - ratios[1:] * q.deriv[..., -1])).sum(axis=1)
-        inner = x[:-1, None] + gaps[:, None] * q.values
-        f2 = (gaps ** 2 * _trapz(schwarzian(g, inner)
-                                 * q.deriv ** 2)).sum(axis=1)
+        f1, f2 = lemma2_sums(g, xbar, a_inv(_paths(rng, (take, n), M)))
         exceed += int(np.sum(np.abs(f1 + f2) >= threshold))
     p = exceed / samples
     se = math.sqrt(max(p * (1.0 - p), 1.0 / samples) / samples)

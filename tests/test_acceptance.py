@@ -251,7 +251,6 @@ def test_criterion_12_concentration(capfd):
 
 def test_criterion_13_telescoping(capfd):
     xbar = np.arange(1, 32) / 32
-    ident_ok = gl.holder_seminorm  # noqa: F841  (import liveness)
     exact = w.telescoping_product(w.identity_map(), xbar) == 1.0
     study = w.telescoping_study(w.polynomial_family(0.4), range(3, 13))
     slope_ok = -1.3 <= study["slope"] <= -0.8

@@ -88,6 +88,15 @@ class TestRuns:
         assert (a / "wiener_moments.csv").read_bytes() == \
             (b / "wiener_moments.csv").read_bytes()
 
+    def test_smooth_ignores_grid(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for d, extra in ((a, []), (b, ["--grid", "512"])):
+            d.mkdir()
+            assert main(["smooth", "--denom-exp", "2", "--max-len", "1",
+                         "--out", str(d), *extra]) == 0
+        for name in ("lemma6_audit.csv", "conditionB.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_lemma3_report(self, tmp_path):
         assert main(["wiener", "lemma3", "--seed", "3",
                      "--out", str(tmp_path)]) == 0

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -72,6 +76,60 @@ class TestPsiModel:
     def test_iterate_depth_limit(self, model):
         with pytest.raises(ValueError):
             model.iterate(65, 0.1)
+
+
+class TestBumpConstant:
+    def test_constant_is_the_root(self):
+        # psi(1/4) = (1/4) * integral over [0, 1] of exp(ln3 S(w) - c B(w)),
+        # by composite Simpson on 2^16 panels; c by bisection on the defect
+        n = 2 ** 16
+        w = np.arange(n + 1) / n
+        weights = np.where(np.arange(n + 1) % 2 == 1, 4.0, 2.0)
+        weights[[0, -1]] = 1.0
+        s, b = sm.LN3 * sm._smoothstep(w), sm._bump(w)
+
+        def defect(c):
+            return np.sum(weights * np.exp(s - c * b)) / (12 * n) - 0.25
+
+        lo, hi = 0.0, 1e3
+        assert defect(lo) > 0 > defect(hi)
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if defect(mid) > 0 else (lo, mid)
+        assert abs(mid - sm.BUMP_C) <= 1e-12 * sm.BUMP_C
+
+    @pytest.mark.parametrize("exp", range(10, 15))
+    def test_constraint_met_at_every_resolution(self, exp):
+        m = sm.PsiModel(resolution=2 ** exp)
+        assert m.c == sm.BUMP_C
+        assert abs(m.value(0.25) - 0.25) <= 5e-16
+
+    def test_wrong_constant_refused(self, monkeypatch):
+        monkeypatch.setattr(sm, "BUMP_C", sm.BUMP_C * (1 + 1e-12))
+        with pytest.raises(sm.CalibrationFailure):
+            sm.PsiModel()
+
+    def test_runs_without_scipy(self):
+        code = (
+            "import importlib, pkgutil, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError('scipy refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "import thompsonlab\n"
+            "for info in pkgutil.iter_modules(thompsonlab.__path__):\n"
+            "    importlib.import_module('thompsonlab.' + info.name)\n"
+            "from thompsonlab.smoothing import PsiModel\n"
+            "PsiModel()\n")
+        src = os.path.dirname(os.path.dirname(sm.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        run = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
 
 
 class TestChartPoints:

@@ -171,14 +171,14 @@ class TestQuasiInvariance:
 
 class TestConcentration:
     def test_identity_sums_vanish(self):
-        qs = [a_inv(sample_brownian(64, i)) for i in range(4)]
-        f1, f2 = lemma2_sums(identity_map(), [0.25, 0.5, 0.75], qs)
+        q = a_inv(np.stack([sample_brownian(64, i) for i in range(4)]))
+        f1, f2 = lemma2_sums(identity_map(), [0.25, 0.5, 0.75], q)
         assert f1 == 0.0 and f2 == 0.0
 
     def test_block_count_checked(self):
-        qs = [a_inv(sample_brownian(64, 0))]
+        q = a_inv(sample_brownian(64, 0)[None])
         with pytest.raises(ValueError):
-            lemma2_sums(identity_map(), [0.5], qs)
+            lemma2_sums(identity_map(), [0.5], q)
 
     def test_exceedance_within_bound(self):
         xbar = np.arange(1, 64) / 64
